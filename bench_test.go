@@ -264,8 +264,7 @@ func BenchmarkAblationFullDNFSafety(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("fulldnf/e=%d", e), func(b *testing.B) {
-			tr := core.NewTranslator(s.Spec)
-			tr.SetFullDNFSafety(true)
+			tr := core.NewTranslator(s.Spec, core.WithFullDNFSafety(true))
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.PSafe(q.Kids); err != nil {
 					b.Fatal(err)
@@ -330,7 +329,7 @@ func BenchmarkServeParallel(b *testing.B) {
 		"clbooks": engine.BuildIndexes(catalog, "publisher"),
 	}
 	data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
-	srv := serve.New(med, data, serve.Config{CacheSize: 64})
+	srv := serve.New(med, data, serve.Config{Cache: serve.CacheConfig{Size: 64}})
 	queries := []*qtree.Node{
 		qparse.MustParse(`[ln = "Clancy"] and [fn = "Tom"]`),
 		qparse.MustParse(`[pyear = 1997] and [pmonth = 5]`),
@@ -365,10 +364,8 @@ func BenchmarkServeStreaming(b *testing.B) {
 			catalog := sources.BookRelation("catalog", sources.GenBooks(5, nBooks))
 			data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
 			srv := serve.New(med, data, serve.Config{
-				CacheSize:    16,
-				Stream:       true,
-				Shards:       shards,
-				StreamBuffer: buffer,
+				Cache:     serve.CacheConfig{Size: 16},
+				Streaming: serve.StreamConfig{Enabled: true, Shards: shards, Buffer: buffer},
 			})
 			ctx := context.Background()
 			var answers int
@@ -408,7 +405,7 @@ func BenchmarkServeSharedMatchCache(b *testing.B) {
 	}{{"off", -1}, {"warm", 0}} {
 		b.Run(variant.name, func(b *testing.B) {
 			med := mediator.New(&sources.Source{Name: "w1", Spec: s.Spec, Eval: s.Eval})
-			srv := serve.New(med, nil, serve.Config{CacheSize: 1, MatchCacheSize: variant.size})
+			srv := serve.New(med, nil, serve.Config{Cache: serve.CacheConfig{Size: 1, MatchCacheSize: variant.size}})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := srv.Translate(ctx, queries[i%len(queries)]); err != nil {
@@ -513,9 +510,7 @@ func BenchmarkDegreeSweepUncompiled(b *testing.B) {
 		for _, k := range []int{2, 4, 8} {
 			s, q := workload.DependencyConjunction(n, k, e)
 			b.Run(fmt.Sprintf("e=%d/k=%d", e, k), func(b *testing.B) {
-				tr := core.NewTranslator(s.Spec)
-				tr.SetCompiled(false)
-				tr.SetMemo(false)
+				tr := core.NewTranslator(s.Spec, core.WithCompiled(false), core.WithMemo(false))
 				for i := 0; i < b.N; i++ {
 					if _, err := tr.TDQM(q); err != nil {
 						b.Fatal(err)
@@ -541,8 +536,7 @@ func BenchmarkTDQMParallelBranches(b *testing.B) {
 	wide := qtree.Or(branches...).Normalize()
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tr := core.NewTranslator(s.Spec)
-			tr.SetParallelism(workers)
+			tr := core.NewTranslator(s.Spec, core.WithParallelism(workers))
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.TDQM(wide); err != nil {
 					b.Fatal(err)

@@ -64,8 +64,7 @@ func runE13() {
 		ednfTr := core.NewTranslator(s.Spec)
 		_, err := ednfTr.PSafe(q.Kids)
 		must(err)
-		fullTr := core.NewTranslator(s.Spec)
-		fullTr.SetFullDNFSafety(true)
+		fullTr := core.NewTranslator(s.Spec, core.WithFullDNFSafety(true))
 		_, err = fullTr.PSafe(q.Kids)
 		must(err)
 		nsE := bench(func() {
@@ -74,8 +73,7 @@ func runE13() {
 			must(err)
 		})
 		nsF := bench(func() {
-			tr := core.NewTranslator(s.Spec)
-			tr.SetFullDNFSafety(true)
+			tr := core.NewTranslator(s.Spec, core.WithFullDNFSafety(true))
 			_, err := tr.PSafe(q.Kids)
 			must(err)
 		})

@@ -463,11 +463,11 @@ func runStreamBench() []benchEntry {
 		name string
 		cfg  serve.Config
 	}{
-		{"stream/union/materialized", serve.Config{CacheSize: 16}},
-		{"stream/union/shards=1", serve.Config{CacheSize: 16, Stream: true, Shards: 1}},
-		{"stream/union/shards=8", serve.Config{CacheSize: 16, Stream: true, Shards: 8}},
-		{"stream/union/indexed/shards=1", serve.Config{CacheSize: 16, Stream: true, Shards: 1, Index: true}},
-		{"stream/union/indexed/shards=8", serve.Config{CacheSize: 16, Stream: true, Shards: 8, Index: true}},
+		{"stream/union/materialized", serve.Config{Cache: serve.CacheConfig{Size: 16}}},
+		{"stream/union/shards=1", serve.Config{Cache: serve.CacheConfig{Size: 16}, Streaming: serve.StreamConfig{Enabled: true, Shards: 1}}},
+		{"stream/union/shards=8", serve.Config{Cache: serve.CacheConfig{Size: 16}, Streaming: serve.StreamConfig{Enabled: true, Shards: 8}}},
+		{"stream/union/indexed/shards=1", serve.Config{Cache: serve.CacheConfig{Size: 16}, Streaming: serve.StreamConfig{Enabled: true, Shards: 1}, Index: true}},
+		{"stream/union/indexed/shards=8", serve.Config{Cache: serve.CacheConfig{Size: 16}, Streaming: serve.StreamConfig{Enabled: true, Shards: 8}, Index: true}},
 	} {
 		srv := bookstoreStack(benchBooks, variant.cfg)
 		ops := 0
@@ -489,7 +489,8 @@ func runStreamBench() []benchEntry {
 	const shards, buffer = 4, 8
 	for _, tuples := range []int{1000, 8000} {
 		srv := bookstoreStack(tuples, serve.Config{
-			CacheSize: 16, Stream: true, Shards: shards, StreamBuffer: buffer,
+			Cache:     serve.CacheConfig{Size: 16},
+			Streaming: serve.StreamConfig{Enabled: true, Shards: shards, Buffer: buffer},
 		})
 		entry := benchEntry{
 			Name: fmt.Sprintf("stream/peak/tuples=%d", tuples),
@@ -539,7 +540,7 @@ func runServeCacheBench() []benchEntry {
 		size int // MatchCacheSize: negative disables
 	}{{"off", -1}, {"warm", 0}} {
 		med := mediator.New(&sources.Source{Name: "w1", Spec: s.Spec, Eval: s.Eval})
-		srv := serve.New(med, nil, serve.Config{CacheSize: 1, MatchCacheSize: variant.size})
+		srv := serve.New(med, nil, serve.Config{Cache: serve.CacheConfig{Size: 1, MatchCacheSize: variant.size}})
 		i := 0
 		entry := benchEntry{
 			Name: "serve/sharedmatchcache/" + variant.name,

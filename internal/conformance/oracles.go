@@ -21,14 +21,11 @@ var variantNames = []string{"dnf", "tdqm", "tdqm-fulldnf", "tdqm-nopartition", "
 
 // translateVariant maps q with the named variant under a fresh translator.
 func translateVariant(spec *rules.Spec, name string, q *qtree.Node) (*qtree.Node, error) {
-	tr := core.NewTranslator(spec)
+	tr := core.NewTranslator(spec, core.WithFullDNFSafety(name == "tdqm-fulldnf"))
 	switch name {
 	case "dnf":
 		return tr.DNFMap(q)
-	case "tdqm":
-		return tr.TDQM(q)
-	case "tdqm-fulldnf":
-		tr.SetFullDNFSafety(true)
+	case "tdqm", "tdqm-fulldnf":
 		return tr.TDQM(q)
 	case "tdqm-nopartition":
 		return tr.TDQMNoPartition(q)
@@ -44,17 +41,14 @@ func translateVariant(spec *rules.Spec, name string, q *qtree.Node) (*qtree.Node
 // core.TranslateWithFilter, so it gets the always-correct conservative
 // filter Q itself.
 func translateWithFilterVariant(spec *rules.Spec, name string, q *qtree.Node) (mapped, filter *qtree.Node, err error) {
-	tr := core.NewTranslator(spec)
+	tr := core.NewTranslator(spec, core.WithFullDNFSafety(name == "tdqm-fulldnf"))
 	switch name {
 	case "dnf":
 		return tr.TranslateWithFilter(q, core.AlgDNF)
-	case "tdqm":
+	case "tdqm", "tdqm-fulldnf":
 		return tr.TranslateWithFilter(q, core.AlgTDQM)
 	case "cnf":
 		return tr.TranslateWithFilter(q, core.AlgCNF)
-	case "tdqm-fulldnf":
-		tr.SetFullDNFSafety(true)
-		return tr.TranslateWithFilter(q, core.AlgTDQM)
 	case "tdqm-nopartition":
 		mapped, err = tr.TDQMNoPartition(q)
 		return mapped, q.Clone(), err

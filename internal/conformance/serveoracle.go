@@ -62,37 +62,41 @@ func (h *Harness) checkServe(c *Case) *Violation {
 	wantS := renderRelation(want)
 	permuted := permute(c.Query)
 
+	cache := serve.CacheConfig{Size: 64}
+	stream := func(shards, buffer int) serve.StreamConfig {
+		return serve.StreamConfig{Enabled: true, Shards: shards, Buffer: buffer}
+	}
 	grid := []serveConfig{
-		{name: "seq/cache", cfg: serve.Config{Workers: 1, CacheSize: 64}},
-		{name: "par/cache", cfg: serve.Config{Workers: 4, CacheSize: 64}},
-		{name: "par/nocache", cfg: serve.Config{Workers: 4, CacheSize: 64}, fresh: true},
-		{name: "stream/shards=1", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 1}},
-		{name: "stream/shards=2", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 2}},
-		{name: "stream/shards=8", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 8, StreamBuffer: 4}},
+		{name: "seq/cache", cfg: serve.Config{Workers: 1, Cache: cache}},
+		{name: "par/cache", cfg: serve.Config{Workers: 4, Cache: cache}},
+		{name: "par/nocache", cfg: serve.Config{Workers: 4, Cache: cache}, fresh: true},
+		{name: "stream/shards=1", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(1, 0)}},
+		{name: "stream/shards=2", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(2, 0)}},
+		{name: "stream/shards=8", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(8, 4)}},
 		// The index dimension: cost-based access paths must reproduce each
 		// scan path byte-identically (content and order) on both the
 		// materialized and streaming executors.
-		{name: "seq/cache/index", cfg: serve.Config{Workers: 1, CacheSize: 64, Index: true}},
-		{name: "par/cache/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Index: true}},
-		{name: "stream/shards=1/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 1, Index: true}},
-		{name: "stream/shards=2/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 2, Index: true}},
-		{name: "stream/shards=8/index", cfg: serve.Config{Workers: 4, CacheSize: 64, Stream: true, Shards: 8, StreamBuffer: 4, Index: true}},
+		{name: "seq/cache/index", cfg: serve.Config{Workers: 1, Cache: cache, Index: true}},
+		{name: "par/cache/index", cfg: serve.Config{Workers: 4, Cache: cache, Index: true}},
+		{name: "stream/shards=1/index", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(1, 0), Index: true}},
+		{name: "stream/shards=2/index", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(2, 0), Index: true}},
+		{name: "stream/shards=8/index", cfg: serve.Config{Workers: 4, Cache: cache, Streaming: stream(8, 4), Index: true}},
 		// The resilience dimension ({breaker on/off} × {hedge on/off}, plus
 		// retries and TinyLFU cache admission): all of it must be invisible
 		// on clean runs — answers byte-identical to the unprotected path,
 		// because breakers only trip on errors, retries only re-run failed
 		// executions, hedges duplicate pure selections, and admission only
 		// decides what is cached, never what is answered.
-		{name: "par/cache/breaker", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/breaker", cfg: serve.Config{Workers: 4, Cache: cache,
 			Resilience: serve.ResilienceConfig{Breaker: true}}},
-		{name: "par/cache/hedge", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/hedge", cfg: serve.Config{Workers: 4, Cache: cache,
 			Resilience: serve.ResilienceConfig{Hedge: true}}},
-		{name: "par/cache/breaker+hedge", cfg: serve.Config{Workers: 4, CacheSize: 64,
+		{name: "par/cache/breaker+hedge", cfg: serve.Config{Workers: 4, Cache: cache,
 			Resilience: serve.ResilienceConfig{Breaker: true, Hedge: true, Retries: 2}}},
 		{name: "par/cache/admission", cfg: serve.Config{Workers: 4,
 			Cache: serve.CacheConfig{Size: 64, Admission: true}}},
-		{name: "stream/shards=2/breaker", cfg: serve.Config{Workers: 4, CacheSize: 64,
-			Stream: true, Shards: 2,
+		{name: "stream/shards=2/breaker", cfg: serve.Config{Workers: 4, Cache: cache,
+			Streaming:  stream(2, 0),
 			Resilience: serve.ResilienceConfig{Breaker: true}}},
 	}
 	ctx := context.Background()
@@ -101,10 +105,10 @@ func (h *Harness) checkServe(c *Case) *Violation {
 
 	for _, gc := range grid {
 		cfg := gc.cfg
-		if h.opts.Plant == PlantBadIndex && cfg.Index && !cfg.Stream {
+		if h.opts.Plant == PlantBadIndex && cfg.Index && !cfg.Streaming.Enabled {
 			cfg.Executor = stale
 		}
-		if h.opts.Plant == PlantBadBreaker && cfg.Resilience.Breaker && !cfg.Stream {
+		if h.opts.Plant == PlantBadBreaker && cfg.Resilience.Breaker && !cfg.Streaming.Enabled {
 			cfg.Executor = silent
 		}
 		srv := serve.New(med, data, cfg)
@@ -122,7 +126,7 @@ func (h *Harness) checkServe(c *Case) *Violation {
 					Detail: fmt.Sprintf("answer differs from sequential mediator baseline\nq = %s\ngot %d tuples, want %d", q, got.Len(), want.Len())}
 			}
 		}
-		if gc.cfg.Stream {
+		if gc.cfg.Streaming.Enabled {
 			st := srv.Stats()
 			if st.StreamRequests != 2 {
 				return &Violation{Oracle: "serve-equivalence", Variant: gc.name,
@@ -240,7 +244,7 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 				make: func(inj *engine.Injector) serve.Config {
 					return serve.Config{
 						Workers:       workers,
-						CacheSize:     64,
+						Cache:         serve.CacheConfig{Size: 64},
 						SourceTimeout: faultTimeout,
 						Index:         index,
 						Executor: func(ctx context.Context, source string, rel *engine.Relation, q *qtree.Node, ev *engine.Evaluator, ix engine.IndexSet, acc *engine.Access) (*engine.Relation, error) {
@@ -276,7 +280,7 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 			make: func(inj *engine.Injector) serve.Config {
 				return serve.Config{
 					Workers:       4,
-					CacheSize:     64,
+					Cache:         serve.CacheConfig{Size: 64},
 					SourceTimeout: faultTimeout,
 					Resilience:    res.rc,
 					Executor: func(ctx context.Context, source string, rel *engine.Relation, q *qtree.Node, ev *engine.Evaluator, ix engine.IndexSet, acc *engine.Access) (*engine.Relation, error) {
@@ -305,13 +309,10 @@ func (h *Harness) checkServeFaults(c *Case, med *mediator.Mediator, data map[str
 				make: func(inj *engine.Injector) serve.Config {
 					return serve.Config{
 						Workers:       4,
-						CacheSize:     64,
+						Cache:         serve.CacheConfig{Size: 64},
 						SourceTimeout: faultTimeout,
-						Stream:        true,
-						Shards:        shards,
-						StreamBuffer:  4,
+						Streaming:     serve.StreamConfig{Enabled: true, Shards: shards, Buffer: 4, Hook: inj.ApplyShard},
 						Index:         index,
-						ShardHook:     inj.ApplyShard,
 					}
 				},
 			})

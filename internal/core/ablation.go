@@ -8,17 +8,6 @@ import (
 	"repro/internal/qtree"
 )
 
-// FullDNFSafety, when set, makes the safety machinery use full DNF instead
-// of essential DNF: Procedure EDNF's nullification and simplification steps
-// are skipped, so Algorithm PSafe scans every product term of the
-// conjuncts' complete DNF — the "brute-force" approach of Section 7.1.3
-// whose cost is ~2^{nk} regardless of the dependency degree.
-//
-// The partitions produced are identical (Lemma 3); only the cost differs.
-// The flag lives on the Translator so a whole translation can be run in
-// ablated mode.
-func (t *Translator) SetFullDNFSafety(on bool) { t.fullDNFSafety = on }
-
 // SCMNoSuppression is Algorithm SCM without step 2 (submatching
 // suppression): every matching's emission is conjoined, including the
 // redundant ones subsumed by larger matchings. The output is still a

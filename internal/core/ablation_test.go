@@ -88,8 +88,7 @@ func TestFullDNFSafetySamePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullTr := core.NewTranslator(am.Spec)
-	fullTr.SetFullDNFSafety(true)
+	fullTr := core.NewTranslator(am.Spec, core.WithFullDNFSafety(true))
 	pF, err := fullTr.PSafe(qbook.Kids)
 	if err != nil {
 		t.Fatal(err)

@@ -59,13 +59,13 @@ type Translator struct {
 	// invocation realized its conjunction exactly (empty residue).
 	residueClean bool
 	// fullDNFSafety switches the safety machinery to full DNF (ablation;
-	// see SetFullDNFSafety).
+	// see WithFullDNFSafety).
 	fullDNFSafety bool
-	// trace, when non-nil, collects derivation steps (see SetTrace).
+	// trace, when non-nil, collects derivation steps (see WithTrace).
 	trace *Trace
 	// tracer, when non-nil, records the span tree of the translation
-	// (see SetTracer); metrics, when non-nil, feeds cumulative per-rule
-	// and per-algorithm counters (see SetMetrics).
+	// (see WithTracer); metrics, when non-nil, feeds cumulative per-rule
+	// and per-algorithm counters (see WithMetrics).
 	tracer  *obs.Tracer
 	metrics *obs.TranslationMetrics
 	// traceDepth and depSupport implement the essentialDNFSize counter:
@@ -76,7 +76,7 @@ type Translator struct {
 
 	// compiledOff and memoOff disable the compiled dispatch engine and the
 	// translation-scoped matching memo; both are enabled by default (see
-	// SetCompiled, SetMemo).
+	// WithCompiled, WithMemo).
 	compiledOff bool
 	memoOff     bool
 	// memo is the translation-scoped matching cache; ownMemo marks the
@@ -87,11 +87,11 @@ type Translator struct {
 	depth     int
 	memoStats MemoStats
 	// shared, when non-nil, is the cross-request matchings cache consulted
-	// after the translation-scoped memo (see SetMatchCache / MatchCache).
+	// after the translation-scoped memo (see WithMatchCache / MatchCache).
 	shared *MatchCache
 	// plan, when non-nil, is the cross-request translation plan: cached
 	// TDQM/PSafe/EDNF/SCM fragments looked up by exact query shape, with
-	// Stats and metrics replayed on hits (see SetPlan / Plan, plan.go).
+	// Stats and metrics replayed on hits (see WithPlan / Plan, plan.go).
 	// planFrames is the stack of open recording scopes accumulating the
 	// metric activity a cached fragment must replay.
 	plan       *Plan
@@ -102,7 +102,7 @@ type Translator struct {
 		nullify []bool
 	}
 	// workers and sem implement bounded parallel branch mapping
-	// (see SetParallelism).
+	// (see WithParallelism).
 	workers int
 	sem     chan struct{}
 }
@@ -120,34 +120,8 @@ func NewTranslator(spec *rules.Spec, opts ...Option) *Translator {
 // ResetStats zeroes the statistics counters.
 func (t *Translator) ResetStats() { t.Stats = Stats{} }
 
-// SetCompiled enables or disables the compiled rule-dispatch engine
-// (rules.CompiledSpec). It is enabled by default; disabling it restores the
-// scan-every-rule path, which produces identical matchings at higher cost
-// (the equivalence the tests in memo_test.go assert).
-func (t *Translator) SetCompiled(on bool) { t.compiledOff = !on }
-
-// SetMatchCache attaches (or detaches, with nil) a shared cross-request
-// matchings cache. Results and Stats are identical with or without one —
-// hits replay recorded matchings with exact counter compensation — so the
-// cache is observable only through its own MatchCacheStats.
-//
-// Deprecated: prefer the WithMatchCache option at construction time.
-func (t *Translator) SetMatchCache(c *MatchCache) { WithMatchCache(c)(t) }
-
 // MatchCache returns the attached shared matchings cache, or nil.
 func (t *Translator) MatchCache() *MatchCache { return t.shared }
-
-// SetMemo enables or disables the translation-scoped matching memo. It is
-// enabled by default; results are identical either way — the memo replays
-// previously derived matchings (with exact Stats compensation) instead of
-// re-deriving them.
-func (t *Translator) SetMemo(on bool) {
-	t.memoOff = !on
-	if !on && t.ownMemo {
-		t.memo = nil
-		t.ownMemo = false
-	}
-}
 
 // matchings runs M(·, K) with counting, consulting the translation-scoped
 // memo and then the shared cross-request MatchCache when either is in

@@ -19,9 +19,7 @@ func TestMemoCompiledConformance(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		c := conformance.NewCase(seed)
 		for _, alg := range algs {
-			base := core.NewTranslator(c.S.Spec)
-			base.SetMemo(false)
-			base.SetCompiled(false)
+			base := core.NewTranslator(c.S.Spec, core.WithMemo(false), core.WithCompiled(false))
 			wantQ, wantF, wantErr := base.TranslateWithFilter(c.Query, alg)
 
 			variants := []struct {
@@ -34,9 +32,7 @@ func TestMemoCompiledConformance(t *testing.T) {
 				{"memo+compiled", true, true},
 			}
 			for _, v := range variants {
-				tr := core.NewTranslator(c.S.Spec)
-				tr.SetMemo(v.memo)
-				tr.SetCompiled(v.compiled)
+				tr := core.NewTranslator(c.S.Spec, core.WithMemo(v.memo), core.WithCompiled(v.compiled))
 				gotQ, gotF, gotErr := tr.TranslateWithFilter(c.Query, alg)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("seed %d %s %s: err=%v, baseline err=%v",

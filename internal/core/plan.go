@@ -311,13 +311,6 @@ func (s *Stats) add(d Stats) {
 	s.RuleAttempts += d.RuleAttempts
 }
 
-// SetPlan attaches (or detaches, with nil) a shared translation plan.
-// Results, Stats, metrics, and traces are identical with or without one;
-// the plan is observable only through its own PlanStats.
-//
-// Deprecated: prefer the WithPlan option at construction time.
-func (t *Translator) SetPlan(p *Plan) { WithPlan(p)(t) }
-
 // Plan returns the attached shared translation plan, or nil.
 func (t *Translator) Plan() *Plan { return t.plan }
 

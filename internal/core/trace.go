@@ -67,10 +67,6 @@ func (t *Trace) String() string {
 	return b.String()
 }
 
-// SetTrace attaches (or detaches, with nil) a trace collector to the
-// translator. Tracing is off by default; it does not change results.
-func (t *Translator) SetTrace(tr *Trace) { t.trace = tr }
-
 // traceSCM records an SCM invocation with its retained and suppressed
 // matchings.
 func (t *Translator) traceSCM(cs []*qtree.Constraint, all, kept []*rules.Matching) {

@@ -10,9 +10,8 @@ import (
 )
 
 func TestTraceRecordsDerivation(t *testing.T) {
-	tr := amazonTranslator()
 	trace := &core.Trace{}
-	tr.SetTrace(trace)
+	tr := core.NewTranslator(sources.NewAmazon().Spec, core.WithTrace(trace))
 
 	q := qparse.MustParse(`[pyear = 1997] and ([pmonth = 5] or [pmonth = 6])`)
 	if _, err := tr.TDQM(q); err != nil {
@@ -44,21 +43,22 @@ func TestTraceRecordsDerivation(t *testing.T) {
 }
 
 func TestTraceOffByDefault(t *testing.T) {
-	tr := amazonTranslator()
 	q := qparse.MustParse(`[pyear = 1997] and [pmonth = 5]`)
-	if _, err := tr.TDQM(q); err != nil {
-		t.Fatal(err)
-	}
-	// No trace attached: nothing to assert except that it did not panic;
-	// attach one and confirm detach works too.
 	trace := &core.Trace{}
-	tr.SetTrace(trace)
-	tr.SetTrace(nil)
-	if _, err := tr.TDQM(q); err != nil {
+	traced := core.NewTranslator(sources.NewAmazon().Spec, core.WithTrace(trace))
+	// A translator built without a trace collects nothing, even into a
+	// trace another translator over the same spec holds.
+	if _, err := amazonTranslator().TDQM(q); err != nil {
 		t.Fatal(err)
 	}
 	if len(trace.Events) != 0 {
-		t.Errorf("detached trace still collected %d events", len(trace.Events))
+		t.Errorf("untraced translator collected %d events", len(trace.Events))
+	}
+	if _, err := traced.TDQM(q); err != nil {
+		t.Fatal(err)
+	}
+	if len(trace.Events) == 0 {
+		t.Error("traced translator collected no events")
 	}
 }
 
@@ -70,8 +70,7 @@ func TestTraceIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced := core.NewTranslator(sources.NewAmazon().Spec)
-	traced.SetTrace(&core.Trace{})
+	traced := core.NewTranslator(sources.NewAmazon().Spec, core.WithTrace(&core.Trace{}))
 	got2, err := traced.TDQM(q)
 	if err != nil {
 		t.Fatal(err)

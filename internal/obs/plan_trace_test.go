@@ -32,13 +32,12 @@ func TestTracingWithPlanMatchesPlanFree(t *testing.T) {
 			}
 
 			trace := func(withPlan bool) []byte {
-				var opts []core.Option
+				tracer := obs.NewTracer()
+				opts := []core.Option{core.WithTracer(tracer)}
 				if withPlan {
 					opts = append(opts, core.WithPlan(plan))
 				}
 				tr := core.NewTranslator(src.Spec, opts...)
-				tracer := obs.NewTracer()
-				tr.SetTracer(tracer)
 				if _, _, err := tr.TranslateWithFilter(q, core.AlgTDQM); err != nil {
 					t.Fatalf("%s over %s: %v", tc.name, src.Name, err)
 				}

@@ -3,7 +3,6 @@ package serve
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/stream"
@@ -11,7 +10,10 @@ import (
 
 // CacheConfig groups the server's cache sizing: the canonical translation
 // cache, the shared cross-request matchings cache, the shared translation
-// plan, and the TinyLFU admission policy guarding the first two.
+// plan, and the TinyLFU admission policy guarding the first two. To share
+// one matchings cache or plan between several servers, set it on the
+// mediator (med.MatchCache, med.Plan) before calling New; New keeps what
+// the mediator already carries and sizes only what it builds itself.
 type CacheConfig struct {
 	// Size bounds the translation cache in entries
 	// (DefaultCacheSize if <= 0).
@@ -24,20 +26,13 @@ type CacheConfig struct {
 	// qmap_admission_rejected_total. Admission never changes answers — a
 	// rejected insert is still returned to its caller, just not cached.
 	Admission bool
-	// MatchCache, when non-nil, is the shared cross-request matchings cache
-	// the server installs on its mediator. Nil builds one sized by
-	// MatchCacheSize.
-	MatchCache *core.MatchCache
-	// MatchCacheSize bounds the shared matchings cache in entries when
-	// MatchCache is nil (core.DefaultMatchCacheSize if 0); a negative size
-	// disables cross-request matching reuse entirely.
+	// MatchCacheSize bounds the shared matchings cache New builds when the
+	// mediator carries none (core.DefaultMatchCacheSize if 0); a negative
+	// size disables cross-request matching reuse entirely.
 	MatchCacheSize int
-	// Plan, when non-nil, is the shared cross-request translation plan the
-	// server installs on its mediator. Nil builds one sized by PlanSize.
-	Plan *core.Plan
-	// PlanSize bounds the shared translation plan in entries when Plan is
-	// nil (core.DefaultPlanSize if 0); a negative size disables
-	// cross-request translation-plan reuse entirely.
+	// PlanSize bounds the shared translation plan New builds when the
+	// mediator carries none (core.DefaultPlanSize if 0); a negative size
+	// disables cross-request translation-plan reuse entirely.
 	PlanSize int
 }
 
@@ -117,14 +112,9 @@ func (r ResilienceConfig) enabled() bool {
 	return r.Breaker || r.Retries > 1 || r.Hedge
 }
 
-// Config sizes a Server. The zero value is a working default; NewServer
-// offers the same knobs as functional options.
-//
-// The grouped sub-structs (Cache, Streaming, Resilience) are the primary
-// surface. The flat fields marked Deprecated are a source-compatibility
-// shim for configurations written before the regrouping: each one feeds
-// the corresponding grouped field when that field is unset, and the
-// grouped field wins when both are set. New code should set the groups.
+// Config sizes a Server; New is its only constructor. The zero value is a
+// working default. Knobs that belong together live in the Cache, Streaming,
+// and Resilience groups; the rest are top-level fields.
 type Config struct {
 	// Cache groups the translation-cache, matchings-cache, translation-plan,
 	// and admission-policy knobs.
@@ -155,97 +145,4 @@ type Config struct {
 	// (content, order, and errors) to the scan paths; queries the planner
 	// cannot probe soundly fall back to scanning automatically.
 	Index bool
-	// ChainDebug switches the mediator's chain-backed sources (see
-	// mediator.AddChainSource) to sequential hop-by-hop translation through
-	// the original specs instead of the precomposed one. Filtered answers
-	// are identical; this is the differential-checking mode, not a serving
-	// optimization.
-	ChainDebug bool
-
-	// CacheSize bounds the translation cache in entries.
-	//
-	// Deprecated: set Cache.Size. Applied only when Cache.Size is 0.
-	CacheSize int
-	// MatchCache is the shared cross-request matchings cache.
-	//
-	// Deprecated: set Cache.MatchCache. Applied only when Cache.MatchCache
-	// is nil.
-	MatchCache *core.MatchCache
-	// MatchCacheSize bounds the shared matchings cache.
-	//
-	// Deprecated: set Cache.MatchCacheSize. Applied only when
-	// Cache.MatchCacheSize is 0.
-	MatchCacheSize int
-	// Plan is the shared cross-request translation plan.
-	//
-	// Deprecated: set Cache.Plan. Applied only when Cache.Plan is nil.
-	Plan *core.Plan
-	// PlanSize bounds the shared translation plan.
-	//
-	// Deprecated: set Cache.PlanSize. Applied only when Cache.PlanSize is 0.
-	PlanSize int
-	// Stream enables the streaming pipeline.
-	//
-	// Deprecated: set Streaming.Enabled. Applied only when
-	// Streaming.Enabled is false.
-	Stream bool
-	// Shards is the per-source shard count on the streaming path.
-	//
-	// Deprecated: set Streaming.Shards. Applied only when Streaming.Shards
-	// is 0.
-	Shards int
-	// StreamBuffer is the per-shard channel capacity.
-	//
-	// Deprecated: set Streaming.Buffer. Applied only when Streaming.Buffer
-	// is 0.
-	StreamBuffer int
-	// BuildBudget bounds the build side of a streaming join.
-	//
-	// Deprecated: set Streaming.BuildBudget. Applied only when
-	// Streaming.BuildBudget is 0.
-	BuildBudget int
-	// ShardHook runs at the start of every shard execution.
-	//
-	// Deprecated: set Streaming.Hook. Applied only when Streaming.Hook is
-	// nil.
-	ShardHook stream.Hook
-}
-
-// normalized folds the deprecated flat fields into the grouped sub-structs
-// and returns the canonical configuration New actually reads: each flat
-// field applies only when its grouped counterpart is unset, so old-style
-// and new-style configurations of the same values build identical servers
-// (proved by the equivalence tests), and the groups win on conflict.
-func (c Config) normalized() Config {
-	if c.Cache.Size == 0 {
-		c.Cache.Size = c.CacheSize
-	}
-	if c.Cache.MatchCache == nil {
-		c.Cache.MatchCache = c.MatchCache
-	}
-	if c.Cache.MatchCacheSize == 0 {
-		c.Cache.MatchCacheSize = c.MatchCacheSize
-	}
-	if c.Cache.Plan == nil {
-		c.Cache.Plan = c.Plan
-	}
-	if c.Cache.PlanSize == 0 {
-		c.Cache.PlanSize = c.PlanSize
-	}
-	if !c.Streaming.Enabled {
-		c.Streaming.Enabled = c.Stream
-	}
-	if c.Streaming.Shards == 0 {
-		c.Streaming.Shards = c.Shards
-	}
-	if c.Streaming.Buffer == 0 {
-		c.Streaming.Buffer = c.StreamBuffer
-	}
-	if c.Streaming.BuildBudget == 0 {
-		c.Streaming.BuildBudget = c.BuildBudget
-	}
-	if c.Streaming.Hook == nil {
-		c.Streaming.Hook = c.ShardHook
-	}
-	return c
 }

@@ -46,7 +46,7 @@ func TestServeMatchCacheGrid(t *testing.T) {
 
 	for _, g := range []struct {
 		name       string
-		matchcache int // Config.MatchCacheSize
+		matchcache int // Config.Cache.MatchCacheSize
 		par        int // mediator.Parallelism
 	}{
 		{"cache-off/seq", -1, 0},
@@ -57,7 +57,7 @@ func TestServeMatchCacheGrid(t *testing.T) {
 		t.Run(g.name, func(t *testing.T) {
 			med, data := newBookstoreMediator()
 			med.Parallelism = g.par
-			srv := New(med, data, Config{MatchCacheSize: g.matchcache})
+			srv := New(med, data, Config{Cache: CacheConfig{MatchCacheSize: g.matchcache}})
 			if (srv.MatchCache() != nil) != (g.matchcache >= 0) {
 				t.Fatalf("MatchCache() nil-ness wrong for MatchCacheSize %d", g.matchcache)
 			}
@@ -116,7 +116,7 @@ func TestServeMatchCacheChurnSoak(t *testing.T) {
 	med, data := newBookstoreMediator()
 	// CacheSize 1 keeps the translation cache from absorbing the workload:
 	// almost every request re-translates and so re-consults the match cache.
-	srv := New(med, data, Config{CacheSize: 1, MatchCacheSize: capacity})
+	srv := New(med, data, Config{Cache: CacheConfig{Size: 1, MatchCacheSize: capacity}})
 
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -227,7 +227,7 @@ func TestServeSharesOneMatchCacheAcrossRequests(t *testing.T) {
 	// The translation plan would replay the recurring {ln, fn} SCM fragment
 	// before the matcher ever runs; disable it so this test observes the
 	// match-cache layer in isolation.
-	srv := New(med, data, Config{CacheSize: 1, PlanSize: -1})
+	srv := New(med, data, Config{Cache: CacheConfig{Size: 1, PlanSize: -1}})
 	ctx := context.Background()
 
 	// The {ln, fn} conjunction appears as q1's whole constraint set and as

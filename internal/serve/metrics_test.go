@@ -18,7 +18,7 @@ func TestStatsInvariantUnderConcurrency(t *testing.T) {
 	const goroutines = 16
 	const perG = 200
 
-	srv, _, _ := bookstoreServer(Config{CacheSize: 64, Workers: 8})
+	srv, _, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 64}, Workers: 8})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -72,7 +72,7 @@ func TestStatsInvariantUnderConcurrency(t *testing.T) {
 // the server's registry in the exposition format and agrees with Stats().
 func TestServerMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, med, _ := bookstoreServer(Config{CacheSize: 16, Metrics: reg})
+	srv, med, _ := bookstoreServer(Config{Cache: CacheConfig{Size: 16}, Metrics: reg})
 	med.Metrics = obs.NewTranslationMetrics(reg)
 	if srv.Metrics() != reg {
 		t.Fatal("Metrics() did not return the configured registry")

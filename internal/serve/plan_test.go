@@ -29,7 +29,7 @@ func TestServePlanGrid(t *testing.T) {
 
 	for _, g := range []struct {
 		name string
-		plan int // Config.PlanSize
+		plan int // Config.Cache.PlanSize
 		par  int // mediator.Parallelism
 	}{
 		{"plan-off/seq", -1, 0},
@@ -42,7 +42,7 @@ func TestServePlanGrid(t *testing.T) {
 			med.Parallelism = g.par
 			// CacheSize 1 keeps the translation cache from absorbing the
 			// workload, so repeated queries actually consult the plan.
-			srv := New(med, data, Config{CacheSize: 1, PlanSize: g.plan})
+			srv := New(med, data, Config{Cache: CacheConfig{Size: 1, PlanSize: g.plan}})
 			if (srv.Plan() != nil) != (g.plan >= 0) {
 				t.Fatalf("Plan() nil-ness wrong for PlanSize %d", g.plan)
 			}

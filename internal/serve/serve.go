@@ -192,14 +192,15 @@ type Server struct {
 // maps source name → that source's universe relation, as in the mediator's
 // Execute* methods.
 //
-// Unless disabled (MatchCacheSize < 0), New installs a shared cross-request
-// matchings cache on the mediator (med.MatchCache) so distinct requests
-// reuse SCM matching work; a cache the mediator already carries is kept.
-// Likewise, unless disabled (PlanSize < 0), New installs a shared
-// translation plan on the mediator (med.Plan) so recurring query shapes
-// replay precomputed TDQM/PSafe/EDNF/SCM fragments.
+// New installs a shared cross-request matchings cache on the mediator
+// (med.MatchCache), so distinct requests reuse SCM matching work, and a
+// shared translation plan (med.Plan), so recurring query shapes replay
+// precomputed TDQM/PSafe/EDNF/SCM fragments. Each is sized by
+// Config.Cache (a negative size disables it). A cache or plan the mediator
+// already carries is kept: the mediator is the one place to share either
+// between servers, and the one place to switch chain-backed sources to
+// sequential replay (med.ChainDebug).
 func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *Server {
-	cfg = cfg.normalized()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 2 * runtime.GOMAXPROCS(0)
@@ -212,27 +213,13 @@ func New(med *mediator.Mediator, data map[string]*engine.Relation, cfg Config) *
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	mc := cfg.Cache.MatchCache
-	if mc == nil && cfg.Cache.MatchCacheSize >= 0 {
-		mc = core.NewMatchCacheAdmission(cfg.Cache.MatchCacheSize, cfg.Cache.Admission)
+	if med.MatchCache == nil && cfg.Cache.MatchCacheSize >= 0 {
+		med.MatchCache = core.NewMatchCacheAdmission(cfg.Cache.MatchCacheSize, cfg.Cache.Admission)
 	}
-	if med.MatchCache != nil {
-		mc = med.MatchCache
-	} else if mc != nil {
-		med.MatchCache = mc
+	if med.Plan == nil && cfg.Cache.PlanSize >= 0 {
+		med.Plan = core.NewPlan(cfg.Cache.PlanSize)
 	}
-	pl := cfg.Cache.Plan
-	if pl == nil && cfg.Cache.PlanSize >= 0 {
-		pl = core.NewPlan(cfg.Cache.PlanSize)
-	}
-	if med.Plan != nil {
-		pl = med.Plan
-	} else if pl != nil {
-		med.Plan = pl
-	}
-	if cfg.ChainDebug {
-		med.ChainDebug = true
-	}
+	mc, pl := med.MatchCache, med.Plan
 	shards := cfg.Streaming.Shards
 	if shards <= 0 {
 		shards = 1

@@ -37,7 +37,7 @@ func TestStreamUnionEquivalence(t *testing.T) {
 	_, med, data := bookstoreServer(Config{})
 	for _, shards := range []int{1, 2, 8} {
 		for _, buf := range []int{1, 8, 64} {
-			srv := New(med, data, Config{Stream: true, Shards: shards, StreamBuffer: buf})
+			srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: shards, Buffer: buf}})
 			for _, s := range mixedWorkload {
 				q := qparse.MustParse(s)
 				wantRel, _, err := med.ExecuteUnion(q, data)
@@ -65,7 +65,7 @@ func TestStreamJoinEquivalence(t *testing.T) {
 		`([fac.dept = cs] or [fac.dept = ee]) and [fac.bib contains data(near)mining]`,
 	}
 	for _, shards := range []int{1, 2, 8} {
-		srv := New(med, data, Config{Stream: true, Shards: shards, StreamBuffer: 4})
+		srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: shards, Buffer: 4}})
 		for _, s := range queries {
 			q := qparse.MustParse(s)
 			wantRel, _, err := med.ExecuteJoin(q, data)
@@ -87,7 +87,7 @@ func TestStreamJoinEquivalence(t *testing.T) {
 // path: 8 goroutines against one streaming server, every answer compared to
 // the sequential baseline.
 func TestStreamConcurrentEquivalence(t *testing.T) {
-	srv, med, data := bookstoreServer(Config{Stream: true, Shards: 4, StreamBuffer: 8, CacheSize: 32})
+	srv, med, data := bookstoreServer(Config{Streaming: StreamConfig{Enabled: true, Shards: 4, Buffer: 8}, Cache: CacheConfig{Size: 32}})
 	queries := make([]string, len(mixedWorkload))
 	want := make([]string, len(mixedWorkload))
 	for i, s := range mixedWorkload {
@@ -131,7 +131,7 @@ func TestStreamConcurrentEquivalence(t *testing.T) {
 // tiny budget and expects the typed error.
 func TestStreamBuildBudget(t *testing.T) {
 	_, med, data := libraryServer(Config{})
-	srv := New(med, data, Config{Stream: true, Shards: 2, BuildBudget: 1})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 2, BuildBudget: 1}})
 	q := qparse.MustParse(`([fac.dept = cs] or [fac.dept = ee]) and [fac.bib contains data(near)mining]`)
 	_, err := srv.QueryJoin(context.Background(), q)
 	if !errors.Is(err, ErrBuildBudget) {
@@ -151,7 +151,7 @@ func TestStreamJoinIndexedBuildBudget(t *testing.T) {
 	_, med, data := libraryServer(Config{})
 	q := qparse.MustParse(`([fac.dept = cs] or [fac.dept = ee]) and [fac.bib contains data(near)mining]`)
 
-	srv := New(med, data, Config{Stream: true, Shards: 2, Index: true, BuildBudget: 1})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 2, BuildBudget: 1}, Index: true})
 	_, err := srv.QueryJoin(context.Background(), q)
 	if !errors.Is(err, ErrBuildBudget) {
 		t.Fatalf("err = %v, want ErrBuildBudget", err)
@@ -160,7 +160,7 @@ func TestStreamJoinIndexedBuildBudget(t *testing.T) {
 		t.Error("indexed build side planned no access paths")
 	}
 
-	srv = New(med, data, Config{Stream: true, Shards: 2, Index: true})
+	srv = New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 2}, Index: true})
 	want, _, err := med.ExecuteJoin(q, data)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestStreamJoinIndexedBuildBudget(t *testing.T) {
 func TestStreamShardHookFault(t *testing.T) {
 	_, med, data := bookstoreServer(Config{})
 	inj := engine.NewInjector(3, engine.FaultPlan{ErrProb: 1})
-	srv := New(med, data, Config{Stream: true, Shards: 2, ShardHook: inj.ApplyShard})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 2, Hook: inj.ApplyShard}})
 	_, err := srv.Query(context.Background(), qparse.MustParse(`[publisher = "aw"]`))
 	if !errors.Is(err, engine.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -198,7 +198,7 @@ func TestStreamShardTimeout(t *testing.T) {
 			return ctx.Err()
 		}
 	}
-	srv := New(med, data, Config{Stream: true, Shards: 2, SourceTimeout: 2 * time.Millisecond, ShardHook: hook})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 2, Hook: hook}, SourceTimeout: 2 * time.Millisecond})
 	_, err := srv.Query(context.Background(), qparse.MustParse(`[publisher = "aw"]`))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
@@ -215,7 +215,7 @@ func TestStreamCancelNoLeak(t *testing.T) {
 	med := mediator.New(sources.NewAmazon(), sources.NewClbooks())
 	catalog := sources.BookRelation("catalog", sources.GenBooks(3, 4000))
 	data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
-	srv := New(med, data, Config{Stream: true, Shards: 8, StreamBuffer: 1})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: 8, Buffer: 1}})
 	q := qparse.MustParse(`[pyear = 1997] or [pyear = 1996] or [pyear = 1995]`)
 
 	base := runtime.NumGoroutine()
@@ -249,7 +249,7 @@ func TestStreamCancelNoLeak(t *testing.T) {
 // TestStreamSpan checks the streaming path emits its summary span when the
 // request context carries a tracer.
 func TestStreamSpan(t *testing.T) {
-	srv, _, _ := bookstoreServer(Config{Stream: true, Shards: 2})
+	srv, _, _ := bookstoreServer(Config{Streaming: StreamConfig{Enabled: true, Shards: 2}})
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
 	if _, err := srv.Query(ctx, qparse.MustParse(`[publisher = "aw"]`)); err != nil {
@@ -312,7 +312,7 @@ var statsMetricFor = map[string]string{
 // exemption), so a counter can't be added to one surface and forgotten on
 // the other.
 func TestStatsMetricsDrift(t *testing.T) {
-	srv, _, _ := bookstoreServer(Config{Stream: true, Shards: 2, Index: true})
+	srv, _, _ := bookstoreServer(Config{Streaming: StreamConfig{Enabled: true, Shards: 2}, Index: true})
 	// Touch both paths so functional collectors have live backing state.
 	if _, err := srv.Query(context.Background(), qparse.MustParse(`[publisher = "aw"]`)); err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestStreamPeakBounded(t *testing.T) {
 	catalog := sources.BookRelation("catalog", sources.GenBooks(5, 6000))
 	data := map[string]*engine.Relation{"amazon": catalog, "clbooks": catalog}
 	const shards, buf = 4, 8
-	srv := New(med, data, Config{Stream: true, Shards: shards, StreamBuffer: buf})
+	srv := New(med, data, Config{Streaming: StreamConfig{Enabled: true, Shards: shards, Buffer: buf}})
 	rel, err := srv.Query(context.Background(), qparse.MustParse(`[pyear = 1997] or [pyear = 1996]`))
 	if err != nil {
 		t.Fatal(err)

@@ -284,8 +284,7 @@ func TestLemma3RandomPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullTr := core.NewTranslator(s.Spec)
-		fullTr.SetFullDNFSafety(true)
+		fullTr := core.NewTranslator(s.Spec, core.WithFullDNFSafety(true))
 		pF, err := fullTr.PSafe(q.Kids)
 		if err != nil {
 			t.Fatal(err)

@@ -179,8 +179,10 @@ var (
 type (
 	// Translator runs the mapping algorithms for one specification.
 	Translator = core.Translator
-	// TranslatorOption configures a Translator at construction time; see
-	// WithParallelism, WithMatchCache, WithTracer, and friends.
+	// TranslatorOption configures a Translator; pass options to
+	// NewTranslator (see WithParallelism, WithMatchCache, WithTracer, and
+	// friends). A Translator has no setters: it is configured once, at
+	// construction.
 	TranslatorOption = core.Option
 	// Stats counts translation work (rule matching passes, product terms,
 	// structure rewritings) for performance analysis.
@@ -260,7 +262,7 @@ const (
 )
 
 // NewTranslator returns a translator for the given specification,
-// configured by the options:
+// configured once and for all by the options:
 //
 //	tr := querymap.NewTranslator(src.Spec,
 //		querymap.WithParallelism(4),
@@ -316,10 +318,9 @@ type (
 	// keyed by the query's canonical form, with singleflight suppression
 	// of concurrent duplicate misses. Safe for concurrent use.
 	CachingTranslator = serve.CachingTranslator
-	// ServeConfig sizes a serve.Server. The grouped sub-structs
-	// (ServeCacheConfig, ServeStreamConfig, ServeResilienceConfig) are the
-	// primary surface; the flat fields marked Deprecated remain as a
-	// source-compatible shim.
+	// ServeConfig sizes a ServeServer built with NewServer: top-level
+	// worker, timeout, executor, metrics, and index knobs plus the
+	// ServeCacheConfig, ServeStreamConfig, and ServeResilienceConfig groups.
 	ServeConfig = serve.Config
 	// ServeCacheConfig groups the server's cache sizing and the TinyLFU
 	// admission policy (ServeConfig.Cache).
@@ -344,89 +345,9 @@ type (
 	ServeServer = serve.Server
 	// ServeStats is a snapshot of a ServeServer's counters.
 	ServeStats = serve.Stats
-	// ServeOption configures a ServeServer built with Serve; see
-	// ServeCacheSize, ServeWorkers, ServeMatchCache, and friends.
-	ServeOption = serve.Option
 	// ServeBatchResult is one query's outcome from
 	// ServeServer.TranslateBatch.
 	ServeBatchResult = serve.BatchResult
-)
-
-// Server construction options for Serve. Each mirrors one ServeConfig
-// field; the serve-side matching-cache options are prefixed to keep them
-// distinct from the translator-level WithMatchCache.
-var (
-	// ServeCacheSize bounds the canonical translation cache in entries.
-	ServeCacheSize = serve.WithCacheSize
-	// ServeWorkers bounds concurrently executing source selections.
-	ServeWorkers = serve.WithWorkers
-	// ServeSourceTimeout bounds each per-source select+filter execution.
-	ServeSourceTimeout = serve.WithSourceTimeout
-	// ServeExecutor overrides the per-source selection phase.
-	ServeExecutor = serve.WithExecutor
-	// ServeRegistry registers the server's metrics in a caller-owned
-	// registry.
-	ServeRegistry = serve.WithRegistry
-	// ServeMatchCache installs a caller-owned shared matchings cache.
-	ServeMatchCache = serve.WithMatchCache
-	// ServeMatchCacheSize sizes the server-built shared matchings cache;
-	// a negative size disables cross-request matching reuse.
-	ServeMatchCacheSize = serve.WithMatchCacheSize
-	// ServePlan installs a caller-owned shared translation plan.
-	ServePlan = serve.WithPlan
-	// ServePlanSize sizes the server-built shared translation plan; a
-	// negative size disables cross-request translation-plan reuse.
-	ServePlanSize = serve.WithPlanSize
-	// ServeStreaming switches Query/QueryJoin to the tuple-at-a-time
-	// per-shard pipeline with the given shard count; answers are identical
-	// to the materialized path with per-request memory bounded by
-	// shards × buffer in-flight tuples.
-	ServeStreaming = serve.WithStreaming
-	// ServeStreamBuffer sets the per-shard channel capacity on the
-	// streaming path.
-	ServeStreamBuffer = serve.WithStreamBuffer
-	// ServeBuildBudget bounds the materialized build side of a streaming
-	// join in tuples.
-	ServeBuildBudget = serve.WithBuildBudget
-	// ServeShardHook runs a hook at the start of every shard execution on
-	// the streaming path (fault injection, admission checks).
-	ServeShardHook = serve.WithShardHook
-	// ServeChainDebug switches chain-backed sources to sequential
-	// hop-by-hop translation (differential-checking mode).
-	ServeChainDebug = serve.WithChainDebug
-	// ServeIndex builds cost-based access paths (hash, sorted-array, and
-	// inverted-token indexes plus per-attribute statistics) per source and
-	// routes both execution paths through selectivity-ranked probes; answers
-	// are byte-identical to the scan paths.
-	ServeIndex = serve.WithIndex
-	// ServeCacheAdmission guards the translation and matchings caches with
-	// a TinyLFU admission sketch: full caches only admit entries estimated
-	// more frequent than their eviction victim, so scans cannot wash out the
-	// hot working set. Answers are unchanged.
-	ServeCacheAdmission = serve.WithCacheAdmission
-	// ServeBreaker enables per-source circuit breakers with default sizing;
-	// a tripped source fails fast with the typed ErrBreakerOpen, never a
-	// silently smaller answer.
-	ServeBreaker = serve.WithBreaker
-	// ServeBreakerConfig enables per-source circuit breakers sized by a
-	// BreakerConfig.
-	ServeBreakerConfig = serve.WithBreakerConfig
-	// ServeRetries allows up to n total executions per source request,
-	// re-running only typed transient faults with jittered backoff.
-	ServeRetries = serve.WithRetries
-	// ServeRetryConfig tunes the backoff between retry attempts.
-	ServeRetryConfig = serve.WithRetryConfig
-	// ServeHedge duplicates straggling source executions after the source's
-	// latency-quantile delay and takes the first result (materialized
-	// fan-out only).
-	ServeHedge = serve.WithHedge
-	// ServeHedgeConfig enables hedging tuned by a HedgeConfig.
-	ServeHedgeConfig = serve.WithHedgeConfig
-	// ServeResilienceSeed seeds the retry jitter stream for replayable
-	// backoff schedules.
-	ServeResilienceSeed = serve.WithResilienceSeed
-	// ServeResilience replaces the whole resilience group at once.
-	ServeResilience = serve.WithResilience
 )
 
 // Typed error sentinels of the serving layer, for errors.Is checks.
@@ -444,16 +365,6 @@ var (
 	ErrBreakerOpen = serve.ErrBreakerOpen
 )
 
-// Serve wraps a mediator and its per-source data in the concurrent serving
-// layer, configured by the options:
-//
-//	s := querymap.Serve(m, data,
-//		querymap.ServeCacheSize(1024),
-//		querymap.ServeWorkers(8))
-func Serve(m *Mediator, data map[string]*Relation, opts ...ServeOption) *ServeServer {
-	return serve.NewServer(m, data, opts...)
-}
-
 // NewCachingTranslator wraps m's Translate in a canonical LRU cache holding
 // up to capacity translations. Queries that are equivalent under ∧/∨
 // commutativity, associativity, and idempotence share one entry, so
@@ -465,8 +376,16 @@ func NewCachingTranslator(m *Mediator, capacity int) *CachingTranslator {
 
 // NewServer wraps a mediator and its per-source data in the concurrent
 // serving layer: cached translation, parallel per-source execution under a
-// bounded worker pool, deterministic merging, and stats. Serve is the
-// equivalent options form.
+// bounded worker pool, deterministic merging, and stats. The zero
+// ServeConfig is a working default:
+//
+//	s := querymap.NewServer(m, data, querymap.ServeConfig{
+//		Cache:   querymap.ServeCacheConfig{Size: 1024},
+//		Workers: 8,
+//	})
+//
+// To share a matchings cache or translation plan between servers, set it
+// on the mediator (m.MatchCache, m.Plan) before calling NewServer.
 func NewServer(m *Mediator, data map[string]*Relation, cfg ServeConfig) *ServeServer {
 	return serve.New(m, data, cfg)
 }

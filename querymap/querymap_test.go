@@ -171,14 +171,18 @@ func TestResilienceSurfaceExported(t *testing.T) {
 		"amazon":  querymap.NewRelation("amazon"),
 		"clbooks": querymap.NewRelation("clbooks"),
 	}
-	srv := querymap.Serve(med, data,
-		querymap.ServeCacheSize(8),
-		querymap.ServeCacheAdmission(true),
-		querymap.ServeBreaker(true),
-		querymap.ServeRetries(2),
-		querymap.ServeHedge(true),
-		querymap.ServeResilienceSeed(7),
-	)
+	srv := querymap.NewServer(med, data, querymap.ServeConfig{
+		Cache: querymap.ServeCacheConfig{Size: 8, Admission: true},
+		Resilience: querymap.ServeResilienceConfig{
+			Breaker:       true,
+			BreakerConfig: querymap.BreakerConfig{MinSamples: 4},
+			Retries:       2,
+			RetryConfig:   querymap.RetryConfig{BaseDelay: time.Millisecond},
+			Hedge:         true,
+			HedgeConfig:   querymap.HedgeConfig{MinDelay: time.Millisecond},
+			Seed:          7,
+		},
+	})
 	out, err := srv.Query(context.Background(), querymap.MustParse(`[ln = "Clancy"]`))
 	if err != nil {
 		t.Fatal(err)
@@ -194,22 +198,6 @@ func TestResilienceSurfaceExported(t *testing.T) {
 		if got := st.Sources[name].BreakerState; got != "closed" {
 			t.Errorf("source %s breaker state = %q, want closed", name, got)
 		}
-	}
-
-	// The grouped ServeConfig form builds the same server shape.
-	srv2 := querymap.NewServer(med, data, querymap.ServeConfig{
-		Cache: querymap.ServeCacheConfig{Size: 8, Admission: true},
-		Resilience: querymap.ServeResilienceConfig{
-			Breaker:       true,
-			BreakerConfig: querymap.BreakerConfig{MinSamples: 4},
-			Retries:       2,
-			RetryConfig:   querymap.RetryConfig{BaseDelay: time.Millisecond},
-			Hedge:         true,
-			HedgeConfig:   querymap.HedgeConfig{MinDelay: time.Millisecond},
-		},
-	})
-	if _, err := srv2.Query(context.Background(), querymap.MustParse(`[ln = "Clancy"]`)); err != nil {
-		t.Fatal(err)
 	}
 
 	// The typed sentinels must be wired to their internal roots.
